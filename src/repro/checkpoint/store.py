@@ -2,7 +2,7 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"checkpoint": "repro.checkpoint", "version": 1, "config": "...",
+    {"checkpoint": "repro.checkpoint", "version": 2, "config": "...",
      "sim_now_ns": ..., "events_executed": ..., "payload_bytes": N,
      "sha256": "..."}\\n
     <N bytes of pickle>
@@ -28,7 +28,11 @@ import pickle
 from typing import Dict, Optional, Tuple
 
 CHECKPOINT_MAGIC = "repro.checkpoint"
-CHECKPOINT_VERSION = 1
+#: Bumped whenever the pickled layout of a world object changes, so an
+#: older file is refused by its header instead of failing (or silently
+#: misbehaving) inside unpickling.  Version 2: ``RankQueue`` holds one
+#: sorted entry list instead of twin heaps.
+CHECKPOINT_VERSION = 2
 
 #: Suffix of the one-generation history file kept beside the latest.
 PREVIOUS_SUFFIX = ".prev"

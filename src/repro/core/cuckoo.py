@@ -11,7 +11,7 @@ bounded eviction chains, and deletion support.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 _MAX_KICKS = 500
 
@@ -52,12 +52,18 @@ class CuckooFilter:
 
     # -- hashing -----------------------------------------------------------
 
-    def _fingerprint(self, item: int) -> int:
-        fp = _hash64(f"fp:{self._seed}:{item}".encode()) & self._fp_mask
-        return fp or 1  # fingerprint 0 is reserved
+    def locate(self, item: int) -> Tuple[int, int, int]:
+        """``(fingerprint, bucket, alternate bucket)`` of ``item``.
 
-    def _index(self, item: int) -> int:
-        return _hash64(f"ix:{self._seed}:{item}".encode()) % self._n_buckets
+        Callers that both test and insert one item (the marking
+        component) hash it once and pass the result to
+        :meth:`contains_located` and :meth:`insert_located`.
+        """
+        seed = self._seed
+        fp = _hash64(f"fp:{seed}:{item}".encode()) & self._fp_mask
+        fp = fp or 1  # fingerprint 0 is reserved
+        i1 = _hash64(f"ix:{seed}:{item}".encode()) % self._n_buckets
+        return fp, i1, self._alt_index(i1, fp)
 
     def _alt_index(self, index: int, fingerprint: int) -> int:
         # Partial-key cuckoo hashing: the alternate bucket depends only on
@@ -79,9 +85,11 @@ class CuckooFilter:
 
     def insert(self, item: int) -> bool:
         """Insert ``item``; returns False if the filter is too full."""
-        fp = self._fingerprint(item)
-        i1 = self._index(item)
-        i2 = self._alt_index(i1, fp)
+        return self.insert_located(self.locate(item))
+
+    def insert_located(self, located: Tuple[int, int, int]) -> bool:
+        """:meth:`insert` for an item already hashed by :meth:`locate`."""
+        fp, i1, i2 = located
         for index in (i1, i2):
             bucket = self._buckets.get(index)
             if bucket is None:
@@ -114,20 +122,18 @@ class CuckooFilter:
         return False
 
     def contains(self, item: int) -> bool:
-        fp = self._fingerprint(item)
-        i1 = self._index(item)
-        if fp in self._buckets.get(i1, ()):
-            return True
-        i2 = self._alt_index(i1, fp)
-        if fp in self._buckets.get(i2, ()):
+        return self.contains_located(self.locate(item))
+
+    def contains_located(self, located: Tuple[int, int, int]) -> bool:
+        """:meth:`contains` for an item already hashed by :meth:`locate`."""
+        fp, i1, i2 = located
+        if fp in self._buckets.get(i1, ()) or fp in self._buckets.get(i2, ()):
             return True
         return any(f == fp and idx in (i1, i2) for idx, f in self._stash)
 
     def delete(self, item: int) -> bool:
         """Remove one copy of ``item``; returns False if absent."""
-        fp = self._fingerprint(item)
-        i1 = self._index(item)
-        i2 = self._alt_index(i1, fp)
+        fp, i1, i2 = self.locate(item)
         for index in (i1, i2):
             bucket = self._buckets.get(index)
             if bucket and fp in bucket:

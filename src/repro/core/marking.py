@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.cuckoo import CuckooFilter
 from repro.core.flowinfo import (
@@ -101,13 +101,16 @@ class MarkingComponent:
             return
         self.packets_marked += 1
         packet.wire_bytes += FLOWINFO_WIRE_BYTES
-        key = self._header_hash(packet.flow_id, packet.seq)
-        # Fast-path membership via the cuckoo filter; false positives are
-        # resolved against the exact table.
-        if self._filter.contains(key) and packet.seq in state.retcnt:
+        # Hash the header once for both the lookup and a first-time
+        # insert.  Fast-path membership via the cuckoo filter; false
+        # positives are resolved against the exact table.
+        located = self._filter.locate(
+            self._header_hash(packet.flow_id, packet.seq))
+        if self._filter.contains_located(located) \
+                and packet.seq in state.retcnt:
             self._mark_retransmission(packet, state)
         else:
-            self._mark_first_transmission(packet, state, key)
+            self._mark_first_transmission(packet, state, located)
 
     def _original_rank(self, packet: Packet, state: _FlowMarkState) -> int:
         if self.discipline is MarkingDiscipline.SRPT:
@@ -118,9 +121,10 @@ class MarkingComponent:
         return packet.seq == 0
 
     def _mark_first_transmission(self, packet: Packet,
-                                 state: _FlowMarkState, key: int) -> None:
+                                 state: _FlowMarkState,
+                                 located: Tuple[int, int, int]) -> None:
         state.retcnt[packet.seq] = 0
-        self._filter.insert(key)
+        self._filter.insert_located(located)
         if state.remaining is not None:
             state.remaining = max(0, state.remaining - packet.payload)
         state.attained = max(state.attained, packet.end_seq)

@@ -10,14 +10,20 @@ PIEO [Shrivastav, SIGCOMM'19]:
 2. enqueueing a displaced packet to a different queue (deflection), which
    is an ordinary enqueue here plus the extra dequeue above.
 
-``RankQueue`` implements this with a pair of lazy-deletion heaps, giving
-O(log n) push, pop-min and pop-max, with exact byte accounting.
+``RankQueue`` implements this as one list of ``(rank, seq, item)``
+entries kept sorted with :func:`bisect.insort`, which is PIEO's own
+ordered-list shape: pop-min and pop-max take the two ends, and a push is
+a binary search plus one memmove of the pointers behind the insertion
+point.  A switch queue holds about ``buffer / MTU`` entries (20 on the
+bench fabric, 200 at the paper's 300 KB; small ACKs pack more), so that
+memmove is at most a few kilobytes and is cheaper in Python than a pair
+of heaps with lazy deletion.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Generic, List, Optional, Tuple, TypeVar
+from bisect import insort
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.analysis import sanitize as _sanitize
 
@@ -35,138 +41,73 @@ class RankQueue(Generic[T]):
     """
 
     def __init__(self) -> None:
-        self._min_heap: List[Tuple[int, int, T]] = []
-        self._max_heap: List[Tuple[int, int, T]] = []
-        self._dead: set[int] = set()
-        self._len = 0
+        #: Live entries in ascending ``(rank, seq)`` order.  ``seq`` is
+        #: unique, so comparisons never reach the item.
+        self._entries: List[Tuple[int, int, T]] = []
         # Per-instance FIFO tie-break sequence; a process-global counter
         # would couple independent queues' state across runs.
         self._seq = 0
 
-    #: Lazy-deleted entries are compacted away once they outnumber live
-    #: ones past this floor — unbounded, the max heap would pin every
-    #: packet that ever transited the queue (a switch queue almost never
-    #: pops max, so dead twins only die by reaching the top), growing
-    #: resident memory and checkpoint payloads linearly with history.
-    _COMPACT_FLOOR = 64
-
     def push(self, rank: int, item: T) -> None:
         seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._min_heap, (rank, seq, item))
-        # Negate seq as well so that among equal ranks the *latest* arrival
-        # is at the top of the max heap (FIFO survivors at the min end).
-        heapq.heappush(self._max_heap, (-rank, -seq, item))
-        self._len += 1
+        self._seq = seq + 1
+        insort(self._entries, (rank, seq, item))
         if _SANITIZE:
             self._sanitize_check()
 
-    def _compact(self) -> None:
-        """Drop dead entries once they dominate either heap.
-
-        Pop order is a pure function of the ``(rank, seq)`` keys, so
-        rebuilding the heaps from the live entries is invisible to
-        callers (and to run digests) — it only sheds the references.
-        Amortized O(1): each compaction is linear in entries that were
-        pushed exactly once since the last one.
-        """
-        if self._len == 0:
-            if self._min_heap or self._max_heap:
-                self._min_heap.clear()
-                self._max_heap.clear()
-                self._dead.clear()
-            return
-        largest = max(len(self._min_heap), len(self._max_heap))
-        if largest <= self._COMPACT_FLOOR or largest <= 2 * self._len:
-            return
-        live = [entry for entry in self._min_heap
-                if entry[1] not in self._dead]
-        self._min_heap = live[:]
-        heapq.heapify(self._min_heap)
-        self._max_heap = [(-rank, -seq, item) for rank, seq, item in live]
-        heapq.heapify(self._max_heap)
-        self._dead.clear()
-
-    def _prune_min(self) -> None:
-        heap = self._min_heap
-        while heap and heap[0][1] in self._dead:
-            self._dead.remove(heap[0][1])
-            heapq.heappop(heap)
-
-    def _prune_max(self) -> None:
-        heap = self._max_heap
-        while heap and -heap[0][1] in self._dead:
-            self._dead.remove(-heap[0][1])
-            heapq.heappop(heap)
-
     def peek_min(self) -> Optional[Tuple[int, T]]:
-        self._prune_min()
-        if not self._min_heap:
+        entries = self._entries
+        if not entries:
             return None
-        rank, _, item = self._min_heap[0]
+        rank, _, item = entries[0]
         return rank, item
 
     def peek_max(self) -> Optional[Tuple[int, T]]:
-        self._prune_max()
-        if not self._max_heap:
+        entries = self._entries
+        if not entries:
             return None
-        neg_rank, _, item = self._max_heap[0]
-        return -neg_rank, item
+        rank, _, item = entries[-1]
+        return rank, item
 
     def pop_min(self) -> Tuple[int, T]:
-        self._prune_min()
-        if not self._min_heap:
+        if not self._entries:
             raise IndexError("pop_min from empty RankQueue")
-        rank, seq, item = heapq.heappop(self._min_heap)
-        self._dead.add(seq)
-        self._len -= 1
-        self._compact()
+        rank, _, item = self._entries.pop(0)
         if _SANITIZE:
             self._sanitize_check()
         return rank, item
 
     def pop_max(self) -> Tuple[int, T]:
-        self._prune_max()
-        if not self._max_heap:
+        if not self._entries:
             raise IndexError("pop_max from empty RankQueue")
-        neg_rank, neg_seq, item = heapq.heappop(self._max_heap)
-        self._dead.add(-neg_seq)
-        self._len -= 1
-        self._compact()
+        # Among equal ranks the latest arrival has the largest seq, so
+        # the tail is the newest (FIFO survivors stay at the min end).
+        rank, _, item = self._entries.pop()
         if _SANITIZE:
             self._sanitize_check()
-        return -neg_rank, item
+        return rank, item
 
     def _sanitize_check(self) -> None:
-        """Lazy-deletion twin heaps must agree with the live count."""
-        _sanitize.check(self._len >= 0,
-                        "RankQueue length went negative: %d", self._len)
-        live_min = sum(1 for entry in self._min_heap
-                       if entry[1] not in self._dead)
-        live_max = sum(1 for entry in self._max_heap
-                       if -entry[1] not in self._dead)
-        _sanitize.check(live_min == self._len and live_max == self._len,
-                        "RankQueue heap invariant broken: %d live in min "
-                        "heap, %d in max heap, tracked len %d",
-                        live_min, live_max, self._len)
-        if self._len:
-            low = self.peek_min()
-            high = self.peek_max()
-            _sanitize.check(low is not None and high is not None
-                            and low[0] <= high[0],
-                            "RankQueue min rank exceeds max rank: %r > %r",
-                            low, high)
+        """Entries ascend strictly by (rank, seq) with unique issued seqs."""
+        entries = self._entries
+        for before, after in zip(entries, entries[1:]):
+            _sanitize.check(before[:2] < after[:2],
+                            "RankQueue order broken: (rank, seq) %r "
+                            "before %r", before[:2], after[:2])
+        seqs = {seq for _, seq, _ in entries}
+        _sanitize.check(len(seqs) == len(entries),
+                        "RankQueue holds %d entries but %d distinct seqs",
+                        len(entries), len(seqs))
+        _sanitize.check(not seqs or max(seqs) < self._seq,
+                        "RankQueue entry seq %d was never issued (next "
+                        "seq %d)", max(seqs, default=-1), self._seq)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return self._len > 0
+        return bool(self._entries)
 
     def items(self) -> List[Tuple[int, T]]:
         """Snapshot of live (rank, item) pairs in ascending rank order."""
-        self._prune_min()
-        live = [(rank, seq, item) for rank, seq, item in self._min_heap
-                if seq not in self._dead]
-        live.sort(key=lambda entry: (entry[0], entry[1]))
-        return [(rank, item) for rank, _, item in live]
+        return [(rank, item) for rank, _, item in self._entries]

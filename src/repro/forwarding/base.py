@@ -28,6 +28,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 
+#: Largest population for which ``random.sample(population, 2)`` draws
+#: from a copied pool rather than a set of chosen indices (CPython's
+#: ``setsize = 21`` for k <= 5); :meth:`ForwardingPolicy.power_of_n_choice`
+#: replays that branch inline.
+_SAMPLE_POOL_MAX = 21
+
 
 class ForwardingPolicy(abc.ABC):
     """Per-switch packet routing and overflow handling.
@@ -100,14 +106,34 @@ class ForwardingPolicy(abc.ABC):
     def power_of_n_choice(self, candidates: Sequence[int], n: int) -> int:
         """Power-of-``n``-choices: sample ``n`` ports, take the least loaded.
 
-        ``n = 1`` degenerates to uniformly random selection.
+        ``n = 1`` degenerates to uniformly random selection.  Draws are
+        exactly those of ``least_loaded(rng.sample(candidates, n))``;
+        the common case, two of 3–21 candidates, replays
+        ``random.sample``'s small-population branch inline (two
+        ``_randbelow`` draws, the second over the pool with the first
+        pick swapped out for the last element) without copying the
+        candidates.
         """
-        if not candidates:
+        count = len(candidates)
+        if not count:
             raise ValueError("no candidate ports")
-        if len(candidates) == 1:
+        if count == 1:
             return candidates[0]
         if n <= 1:
-            return self.rng.choice(list(candidates))
-        sampled = candidates if len(candidates) <= n \
-            else self.rng.sample(list(candidates), n)
-        return self.least_loaded(sampled)
+            return self.rng.choice(candidates)
+        if count <= n:
+            return self.least_loaded(candidates)
+        if n != 2 or count > _SAMPLE_POOL_MAX:
+            return self.least_loaded(self.rng.sample(candidates, n))
+        randbelow = self.rng._randbelow
+        j = randbelow(count)
+        k = randbelow(count - 1)
+        first = candidates[j]
+        second = candidates[count - 1 if k == j else k]
+        ports = self.switch.ports
+        first_bytes = ports[first].queue.bytes
+        second_bytes = ports[second].queue.bytes
+        if first_bytes < second_bytes \
+                or (first_bytes == second_bytes and first < second):
+            return first
+        return second

@@ -72,7 +72,7 @@ class VertigoPolicy(ForwardingPolicy):
             self.switch.drop(packet, "no_route")
             return
         port = self.power_of_n_choice(candidates, self.params.fw_choices)
-        if self.switch.ports[port].fits(packet):
+        if self.switch.ports[port].queue.fits(packet):
             self.switch.enqueue(port, packet)
             return
         if self.params.scheduling:
@@ -128,7 +128,7 @@ class VertigoPolicy(ForwardingPolicy):
             return
         chosen = self.power_of_n_choice(targets, self.params.def_choices)
         switch.deflected(packet, exclude, chosen)
-        if switch.ports[chosen].fits(packet):
+        if switch.ports[chosen].queue.fits(packet):
             switch.enqueue(chosen, packet)
             return
         # Both randomly sampled queues full: extreme congestion.  Insert

@@ -51,10 +51,6 @@ class QueueStats:
     occupancy_integral: int = 0
     last_change_ns: int = 0
 
-    def record_occupancy(self, now_ns: int, bytes_now: int) -> None:
-        self.occupancy_integral += bytes_now * (now_ns - self.last_change_ns)
-        self.last_change_ns = now_ns
-
 
 class SharedBufferPool(Snapshot):
     """Dynamic Threshold shared-buffer management (Choudhury–Hahne).
@@ -135,29 +131,18 @@ class _BoundedQueue(Snapshot):
                               self.pool.free_bytes))
         return self.capacity_bytes - self.bytes
 
-    def _on_push(self, packet: Packet, now_ns: int) -> None:
-        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
-                and self.bytes >= self.ecn_threshold_bytes):
-            packet.ecn_ce = True
-            self.stats.ecn_marked += 1
-            if self.mark_hook is not None:
-                self.mark_hook()
-            if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_ecn(now_ns, self.label, packet)
-        self.stats.record_occupancy(now_ns, self.bytes)
-        self.bytes += packet.wire_bytes
-        if self.pool is not None:
-            self.pool.on_push(packet.wire_bytes)
-        self.stats.enqueued += 1
-        if self.bytes > self.stats.max_bytes:
-            self.stats.max_bytes = self.bytes
+    # push/pop run once per hop, so each flavour inlines ``fits`` and the
+    # occupancy accounting: before the occupancy changes, every push and
+    # pop adds ``bytes x elapsed`` to ``stats.occupancy_integral``.
 
-    def _on_pop(self, packet: Packet, now_ns: int) -> None:
-        self.stats.record_occupancy(now_ns, self.bytes)
-        self.bytes -= packet.wire_bytes
-        if self.pool is not None:
-            self.pool.on_pop(packet.wire_bytes)
-        self.stats.dequeued += 1
+    def _mark_ecn(self, packet: Packet, now_ns: int) -> None:
+        """CE-mark an arriving packet (occupancy at or past threshold)."""
+        packet.ecn_ce = True
+        self.stats.ecn_marked += 1
+        if self.mark_hook is not None:
+            self.mark_hook()
+        if _TRACE is not None and _TRACE.packets:
+            _TRACE.pkt_ecn(now_ns, self.label, packet)
 
     def packets(self) -> List[Packet]:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -194,16 +179,39 @@ class DropTailQueue(_BoundedQueue):
         self._fifo: Deque[Packet] = deque()
 
     def push(self, packet: Packet, now_ns: int = 0) -> None:
-        if not self.fits(packet):
+        size = packet.wire_bytes
+        queued = self.bytes
+        pool = self.pool
+        if (queued + size > self.capacity_bytes if pool is None
+                else not pool.admits(queued, size)):
             raise OverflowError("push to full DropTailQueue")
-        self._on_push(packet, now_ns)
+        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
+                and queued >= self.ecn_threshold_bytes):
+            self._mark_ecn(packet, now_ns)
+        stats = self.stats
+        stats.occupancy_integral += queued * (now_ns - stats.last_change_ns)
+        stats.last_change_ns = now_ns
+        stats.enqueued += 1
+        queued += size
+        self.bytes = queued
+        if queued > stats.max_bytes:
+            stats.max_bytes = queued
+        if pool is not None:
+            pool.on_push(size)
         self._fifo.append(packet)
         if _SANITIZE:
             self._sanitize_check()
 
     def pop(self, now_ns: int = 0) -> Packet:
         packet = self._fifo.popleft()
-        self._on_pop(packet, now_ns)
+        queued = self.bytes
+        stats = self.stats
+        stats.occupancy_integral += queued * (now_ns - stats.last_change_ns)
+        stats.last_change_ns = now_ns
+        stats.dequeued += 1
+        self.bytes = queued - packet.wire_bytes
+        if self.pool is not None:
+            self.pool.on_pop(packet.wire_bytes)
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -230,16 +238,41 @@ class RankedQueue(_BoundedQueue):
         self._ranked: RankQueue[Packet] = RankQueue()
 
     def push(self, packet: Packet, now_ns: int = 0) -> None:
-        if not self.fits(packet):
+        size = packet.wire_bytes
+        queued = self.bytes
+        pool = self.pool
+        if (queued + size > self.capacity_bytes if pool is None
+                else not pool.admits(queued, size)):
             raise OverflowError("push to full RankedQueue")
-        self._on_push(packet, now_ns)
-        self._ranked.push(packet.rank(), packet)
+        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
+                and queued >= self.ecn_threshold_bytes):
+            self._mark_ecn(packet, now_ns)
+        stats = self.stats
+        stats.occupancy_integral += queued * (now_ns - stats.last_change_ns)
+        stats.last_change_ns = now_ns
+        stats.enqueued += 1
+        queued += size
+        self.bytes = queued
+        if queued > stats.max_bytes:
+            stats.max_bytes = queued
+        if pool is not None:
+            pool.on_push(size)
+        # Packet.rank(), inlined: the RFS field, else the wire size.
+        flowinfo = packet.flowinfo
+        self._ranked.push(size if flowinfo is None else flowinfo.rfs, packet)
         if _SANITIZE:
             self._sanitize_check()
 
     def pop(self, now_ns: int = 0) -> Packet:
         _, packet = self._ranked.pop_min()
-        self._on_pop(packet, now_ns)
+        queued = self.bytes
+        stats = self.stats
+        stats.occupancy_integral += queued * (now_ns - stats.last_change_ns)
+        stats.last_change_ns = now_ns
+        stats.dequeued += 1
+        self.bytes = queued - packet.wire_bytes
+        if self.pool is not None:
+            self.pool.on_pop(packet.wire_bytes)
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -252,7 +285,14 @@ class RankedQueue(_BoundedQueue):
     def pop_tail(self, now_ns: int = 0) -> Packet:
         """Extract the largest-RFS packet (PIEO tail extraction)."""
         _, packet = self._ranked.pop_max()
-        self._on_pop(packet, now_ns)
+        queued = self.bytes
+        stats = self.stats
+        stats.occupancy_integral += queued * (now_ns - stats.last_change_ns)
+        stats.last_change_ns = now_ns
+        stats.dequeued += 1
+        self.bytes = queued - packet.wire_bytes
+        if self.pool is not None:
+            self.pool.on_pop(packet.wire_bytes)
         if _SANITIZE:
             self._sanitize_check()
         return packet

@@ -116,7 +116,7 @@ def test_ranked_queue_detects_tampered_bytes(sanitized):
         queue.pop()
 
 
-# -- rank queue: heap invariants -----------------------------------------------
+# -- rank queue: order invariants ----------------------------------------------
 
 
 def test_rankqueue_clean_operations(sanitized):
@@ -128,11 +128,20 @@ def test_rankqueue_clean_operations(sanitized):
     assert rq.pop_max() == (9, "c")
 
 
-def test_rankqueue_detects_tampered_len(sanitized):
+def test_rankqueue_detects_tampered_order(sanitized):
     rq = RankQueue()
     rq.push(5, "a")
-    rq._len += 1  # corrupt the live count
-    with pytest.raises(SanitizerError):
+    rq.push(7, "b")
+    rq._entries.reverse()  # corrupt the (rank, seq) order
+    with pytest.raises(SanitizerError, match="order"):
+        rq.push(9, "c")
+
+
+def test_rankqueue_detects_tampered_seq_count(sanitized):
+    rq = RankQueue()
+    rq.push(5, "a")
+    rq._seq = 0  # rewind the issued-seq count: the next seq repeats
+    with pytest.raises(SanitizerError, match="distinct seqs"):
         rq.push(7, "b")
 
 

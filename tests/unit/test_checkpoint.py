@@ -1,5 +1,6 @@
 """Unit tests: checkpoint store format, atomicity, and config surface."""
 
+import hashlib
 import json
 import os
 import pickle
@@ -75,6 +76,25 @@ def test_version_mismatch_rejected(tmp_path):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError, match="version"):
         read_checkpoint(str(path))
+
+
+def test_version_1_file_refused_by_header_before_unpickling(tmp_path):
+    # Version 1 pickled RankQueue as twin heaps; such a file must be
+    # refused by the version check, never reach pickle.loads.  The
+    # payload here is not a pickle at all (with a matching digest), so
+    # only the header check can produce a version error.
+    path = tmp_path / "run.ckpt"
+    payload = b"not a pickle"
+    header = {"checkpoint": CHECKPOINT_MAGIC, "version": 1,
+              "config": "cfg" * 21, "sim_now_ns": 1, "events_executed": 1,
+              "payload_bytes": len(payload),
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    assert CHECKPOINT_VERSION == 2
+    for load in (read_checkpoint, peek_header, load_latest):
+        with pytest.raises(CheckpointError,
+                           match="version 1 is not supported"):
+            load(str(path))
 
 
 # -- rotation and corruption fallback ------------------------------------------

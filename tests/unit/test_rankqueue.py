@@ -1,5 +1,8 @@
 """PIEO-style rank queue."""
 
+import random
+import weakref
+
 import pytest
 
 from repro.core.scheduler import RankQueue
@@ -109,57 +112,71 @@ def test_interleaved_operations_stay_consistent():
         assert len(queue) == len(shadow)
 
 
+class _Item:
+    """Weak-referenceable payload, to observe what the queue retains."""
+
+
+def _alive(refs):
+    return sum(1 for ref in refs if ref() is not None)
+
+
 def test_dead_entries_do_not_accumulate():
-    # Lazy-deleted twins must be compacted away: a switch queue that
-    # only ever pops min would otherwise retain every packet it ever
-    # forwarded in the max heap, growing memory (and checkpoint
-    # payloads) linearly with history.
+    # Popped entries must not stay reachable: a switch queue that only
+    # ever pops min would otherwise retain every packet it ever
+    # forwarded, growing memory (and checkpoint payloads) linearly with
+    # history.  Storage must equal the live count.
     queue = RankQueue()
+    refs = []
     for step in range(10_000):
-        queue.push(step % 97, step)
+        item = _Item()
+        refs.append(weakref.ref(item))
+        queue.push(step % 97, item)
+        del item
         if step >= 8:  # steady-state occupancy of ~8 entries
             queue.pop_min()
-    bound = max(RankQueue._COMPACT_FLOOR, 2 * len(queue))
-    assert len(queue._min_heap) <= bound
-    assert len(queue._max_heap) <= bound
+    assert len(queue) == 8
+    assert _alive(refs) == len(queue)
+    assert len(queue.items()) == len(queue)
 
 
 def test_drained_queue_releases_everything():
     queue = RankQueue()
+    refs = []
     for rank in range(50):
-        queue.push(rank, object())
+        item = _Item()
+        refs.append(weakref.ref(item))
+        queue.push(rank, item)
+        del item
     for _ in range(25):
         queue.pop_min()
         queue.pop_max()
-    assert len(queue) == 0
-    assert queue._min_heap == [] and queue._max_heap == []
-    assert queue._dead == set()
+    assert len(queue) == 0 and not queue
+    assert queue.items() == []
+    assert _alive(refs) == 0
 
 
-def test_compaction_preserves_pop_order():
-    # Pop order is a pure function of (rank, seq); the compaction that
-    # rebuilds the heaps must be invisible to callers.
-    import random
+def test_pop_order_matches_reference_model():
+    # Pop order is a pure function of (rank, seq): the min end is the
+    # smallest rank, earliest push first; the max end is the largest
+    # rank, latest push first.  Checked against a brute-force model.
     rng = random.Random(7)
-
-    def drive(queue):
-        out = []
-        for step in range(3_000):
-            if rng.random() < 0.6 or not queue:
-                queue.push(rng.randrange(50), step)
-            elif rng.random() < 0.9:
-                out.append(queue.pop_min())
-            else:
-                out.append(queue.pop_max())
-        while queue:
-            out.append(queue.pop_min())
-        return out
-
-    eager = RankQueue()
-    lazy = RankQueue()
-    lazy._COMPACT_FLOOR = 10 ** 9  # compaction never triggers
-    state = rng.getstate()
-    first = drive(eager)
-    rng.setstate(state)
-    second = drive(lazy)
-    assert first == second
+    queue = RankQueue()
+    model = []  # (rank, seq, item)
+    for step in range(3_000):
+        if rng.random() < 0.6 or not model:
+            rank = rng.randrange(50)
+            queue.push(rank, step)
+            model.append((rank, step, step))
+            continue
+        if rng.random() < 0.9:
+            entry, popped = min(model), queue.pop_min()
+        else:
+            entry, popped = max(model), queue.pop_max()
+        model.remove(entry)
+        assert popped == (entry[0], entry[2])
+        assert len(queue) == len(model)
+    while model:
+        entry = min(model)
+        model.remove(entry)
+        assert queue.pop_min() == (entry[0], entry[2])
+    assert not queue
