@@ -1,4 +1,4 @@
-"""Property-based tests: RankQueue double-ended heap invariants."""
+"""Property-based tests: RankQueue double-ended priority queue invariants."""
 
 from hypothesis import given, strategies as st
 from hypothesis.stateful import (
