@@ -31,8 +31,11 @@ CHECKPOINT_MAGIC = "repro.checkpoint"
 #: Bumped whenever the pickled layout of a world object changes, so an
 #: older file is refused by its header instead of failing (or silently
 #: misbehaving) inside unpickling.  Version 2: ``RankQueue`` holds one
-#: sorted entry list instead of twin heaps.
-CHECKPOINT_VERSION = 2
+#: sorted entry list instead of twin heaps.  Version 3: transport timers
+#: may be None (created when first armed), completion callbacks are the
+#: flow kernel's shared bound methods, and hosts, the kernel and the
+#: fidelity controller gained attributes.
+CHECKPOINT_VERSION = 3
 
 #: Suffix of the one-generation history file kept beside the latest.
 PREVIOUS_SUFFIX = ".prev"

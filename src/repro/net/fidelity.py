@@ -168,7 +168,7 @@ class FidelityController(Snapshot):
     """Owns per-link modes, flow adoption, and the promotion epoch."""
 
     SNAPSHOT_ATTRS = ("engine", "network", "config", "_hybrid", "_state",
-                      "_flows", "_generation", "_epoch_handle",
+                      "_flows", "_generation", "_next_links", "_epoch_handle",
                       "demote_queue_bytes", "promote_epoch_ns",
                       "standing_queue_bytes", "demotions", "promotions",
                       "pinned", "analytic_rounds", "analytic_flows",
@@ -185,6 +185,11 @@ class FidelityController(Snapshot):
         self._state: Dict["Link", _LinkState] = {}
         self._flows: Dict[int, _FlowPath] = {}
         self._generation = 0
+        #: (node, dst) -> the links of the node's FIB candidates towards
+        #: ``dst`` (None where a port is unattached), or False for a node
+        #: without a FIB (a host: the path ends).  Cleared on every
+        #: topology change.
+        self._next_links: Dict[tuple, object] = {}
         self._epoch_handle = None
         # Resolved thresholds (filled by install()).
         self.demote_queue_bytes = config.demote_queue_bytes
@@ -305,22 +310,31 @@ class FidelityController(Snapshot):
         if link is None:
             return None
         path = [link]
-        node = link.dst
+        next_links = self._next_links
         hops = 0
-        while hasattr(node, "fib"):
-            candidates = node.fib.get(dst, ())
-            if not candidates:
+        while True:
+            node = link.dst
+            key = (node, dst)
+            links = next_links.get(key)
+            if links is None:
+                if hasattr(node, "fib"):
+                    ports = node.ports
+                    links = tuple(ports[port].link
+                                  for port in node.fib.get(dst, ()))
+                else:
+                    links = False
+                next_links[key] = links
+            if links is False:
+                return tuple(path)
+            if not links:
                 return None
-            index = (flow_id * _PATH_HASH) % len(candidates)
-            link = node.ports[candidates[index]].link
+            link = links[(flow_id * _PATH_HASH) % len(links)]
             if link is None:
                 return None
             path.append(link)
-            node = link.dst
             hops += 1
             if hops > _MAX_PATH_HOPS:
                 return None
-        return tuple(path)
 
     # -- analytic round timing ------------------------------------------------
 
@@ -454,6 +468,7 @@ class FidelityController(Snapshot):
     def on_topology_change(self) -> None:
         """Invalidate every adopted flow's cached path."""
         self._generation += 1
+        self._next_links.clear()
 
     def _check_cascade(self, link: "Link", state: _LinkState) -> None:
         """Count (once per link) fan-in beyond the cascade envelope.

@@ -32,13 +32,19 @@ class DctcpSender(RenoSender):
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:
-        super().__init__(engine, host, flow_id, dst, size,
-                         config.with_overrides(ecn_capable=True), metrics,
+        super().__init__(engine, host, flow_id, dst, size, config, metrics,
                          on_complete=on_complete)
         self.alpha = 1.0  # conservative initial estimate, per the RFC
         self._window_acked = 0
         self._window_marked = 0
         self._window_end = 0  # snd_una value that closes the observation window
+
+    @classmethod
+    def adapt_config(cls, config: TransportConfig) -> TransportConfig:
+        # DCTCP is always ECN-capable.
+        if config.ecn_capable:
+            return config
+        return config.with_overrides(ecn_capable=True)
 
     def on_new_ack_cc(self, acked_bytes: int, rtt_ns: Optional[int],
                       ece: bool) -> None:

@@ -19,7 +19,7 @@ class RenoSender(FlowSender):
 
     def on_new_ack_cc(self, acked_bytes: int, rtt_ns: Optional[int],
                       ece: bool) -> None:
-        acked_packets = max(1, acked_bytes // self.config.mss)
+        acked_packets = acked_bytes // self.config.mss or 1
         if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets  # slow start: +1 per ACKed packet
         else:

@@ -70,9 +70,9 @@ class BackgroundTraffic(Snapshot):
     def _schedule_next(self) -> None:
         # Rate parameter in 1/ns; the drawn gap is rounded to int ns below.
         gap = self.rng.expovariate(1.0 / self._mean_gap_ns)  # noqa: VR003
-        when = self.engine.now + max(1, round(gap))
-        if when <= self.until_ns:
-            self.engine.schedule_at(when, self._launch_flow)
+        delay = max(1, round(gap))
+        if self.engine.now + delay <= self.until_ns:
+            self.engine.schedule_fast(delay, self._launch_flow)
 
     def _launch_flow(self) -> None:
         src = self.matrix.pick_src(self.rng)

@@ -87,7 +87,8 @@ class DutyCycleTraffic(Snapshot):
         periods, rem = divmod(self._t_on, self.on_ns)
         when = periods * self.period_ns + rem
         if when <= self.until_ns:
-            self.engine.schedule_at(when, self._launch_flow)
+            self.engine.schedule_fast(when - self.engine.now,
+                                      self._launch_flow)
 
     def _launch_flow(self) -> None:
         src = self.matrix.pick_src(self.rng)

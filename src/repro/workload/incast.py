@@ -79,9 +79,9 @@ class IncastApp(Snapshot):
     def _schedule_next(self) -> None:
         # Rate parameter in 1/ns; the drawn gap is rounded to int ns below.
         gap = self.rng.expovariate(1.0 / self._mean_gap_ns)  # noqa: VR003
-        when = self.engine.now + max(1, round(gap))
-        if when <= self.until_ns:
-            self.engine.schedule_at(when, self._issue_query)
+        delay = max(1, round(gap))
+        if self.engine.now + delay <= self.until_ns:
+            self.engine.schedule_fast(delay, self._issue_query)
 
     def _issue_query(self) -> None:
         client = self.matrix.pick_src(self.rng)

@@ -78,23 +78,33 @@ def test_version_mismatch_rejected(tmp_path):
         read_checkpoint(str(path))
 
 
-def test_version_1_file_refused_by_header_before_unpickling(tmp_path):
-    # Version 1 pickled RankQueue as twin heaps; such a file must be
-    # refused by the version check, never reach pickle.loads.  The
-    # payload here is not a pickle at all (with a matching digest), so
-    # only the header check can produce a version error.
+def _assert_old_version_refused(tmp_path, version):
+    # The payload is not a pickle at all (with a matching digest), so
+    # only the header check can produce a version error: the file never
+    # reaches pickle.loads.
     path = tmp_path / "run.ckpt"
     payload = b"not a pickle"
-    header = {"checkpoint": CHECKPOINT_MAGIC, "version": 1,
+    header = {"checkpoint": CHECKPOINT_MAGIC, "version": version,
               "config": "cfg" * 21, "sim_now_ns": 1, "events_executed": 1,
               "payload_bytes": len(payload),
               "sha256": hashlib.sha256(payload).hexdigest()}
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    assert CHECKPOINT_VERSION == 2
+    assert CHECKPOINT_VERSION == 3
     for load in (read_checkpoint, peek_header, load_latest):
         with pytest.raises(CheckpointError,
-                           match="version 1 is not supported"):
+                           match=f"version {version} is not supported"):
             load(str(path))
+
+
+def test_version_1_file_refused_by_header_before_unpickling(tmp_path):
+    # Version 1 pickled RankQueue as twin heaps.
+    _assert_old_version_refused(tmp_path, 1)
+
+
+def test_version_2_file_refused_by_header_before_unpickling(tmp_path):
+    # Version 2 pickled an eager Timer per transport endpoint and a
+    # per-flow partial completion callback.
+    _assert_old_version_refused(tmp_path, 2)
 
 
 # -- rotation and corruption fallback ------------------------------------------
