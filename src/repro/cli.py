@@ -10,7 +10,6 @@ Subcommands::
         --workload background:load=0.2 --warmup 10ms --cooldown 10ms
     python -m repro sweep --systems ecmp,drill,dibs,vertigo --seeds 3
     python -m repro lint  src
-    python -m repro perf  --quick
     python -m repro trace-view out.jsonl --validate --chrome out.json
 
 A bare legacy invocation (flags with no subcommand, e.g.
@@ -45,10 +44,10 @@ from repro.runtime import SupervisorPolicy, run_supervised
 from repro.sim.units import MILLISECOND
 from repro.trace.tracer import TRACE_LEVELS, TraceConfig
 
-SUBCOMMANDS = ("run", "sweep", "lint", "perf", "trace-view")
+SUBCOMMANDS = ("run", "sweep", "lint", "trace-view")
 
 _EPILOG = (
-    "subcommands: run (default) | sweep | lint | perf | trace-view; "
+    "subcommands: run (default) | sweep | lint | trace-view; "
     "run `python -m repro <subcommand> --help` for each."
 )
 
@@ -486,9 +485,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if command == "lint":
             from repro.analysis.lint import main as lint_main
             return lint_main(rest)
-        if command == "perf":
-            from repro.perf import main as perf_main
-            return perf_main(rest)
         if command == "trace-view":
             return _cmd_trace_view(rest)
     # Bare legacy invocation: flags only, no subcommand -> `run`.

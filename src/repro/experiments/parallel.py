@@ -1,4 +1,4 @@
-"""Process-parallel sweep execution (``repro.perf`` tentpole).
+"""Process-parallel sweep execution.
 
 Every sweep point is an independent, fully seeded simulation, so a sweep
 is embarrassingly parallel: this module fans :class:`ExperimentConfig`

@@ -522,50 +522,46 @@ def _write_world_checkpoint(world: LiveRun, path: str,
 def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
                 managed_path: Optional[str], config_digest: str) -> None:
     """Run the simulation to completion, checkpointing at epoch
-    boundaries.
+    boundaries when the run has a managed checkpoint.
 
     Boundaries fall on multiples of ``every_ns`` of *simulated* time, so
     a restored run and the uninterrupted run execute identical event
-    sequences.  Preemption (SIGTERM/SIGINT latched by
+    sequences.  Without a managed checkpoint the whole run is one epoch:
+    ``engine.run`` is called exactly once, so a trace holds one
+    ``engine.span`` per run.  Preemption (SIGTERM/SIGINT latched by
     :mod:`repro.checkpoint.runtime`) is honoured only at boundaries —
     never mid-event — by writing a final checkpoint and raising
     :class:`RunPreempted`.
     """
     engine = world.engine
     end = world.config.sim_time_ns
-    checkpoint = world.config.checkpoint
-    tracer = world.tracer
-
-    if checkpoint is None or managed_path is None:
-        # Legacy single-call path: byte-identical scheduling AND an
-        # identical trace stream (one engine.span per run).
-        if tracer is not None:
-            with _trace_hooks.activated(tracer), profiler.phase("run"):
-                engine.run(until=end)
-        else:
-            with profiler.phase("run"):
-                engine.run(until=end)
-        return
-
-    every = checkpoint.every_ns
-    write_progress(managed_path, sim_now_ns=engine.now,
-                   events_executed=engine.events_executed, sim_time_ns=end)
+    managed = managed_path is not None
+    if managed:
+        every = world.config.checkpoint.every_ns
+        write_progress(managed_path, sim_now_ns=engine.now,
+                       events_executed=engine.events_executed,
+                       sim_time_ns=end)
     with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(_trace_hooks.activated(tracer))
+        if world.tracer is not None:
+            stack.enter_context(_trace_hooks.activated(world.tracer))
         stack.enter_context(profiler.phase("run"))
-        while engine.now < end:
-            boundary = min(end, (engine.now // every + 1) * every)
+        while True:
+            boundary = (min(end, (engine.now // every + 1) * every)
+                        if managed else end)
             engine.run(until=boundary)
-            preempt = preemption_requested() and engine.now < end
-            if engine.now < end or preempt:
-                _write_world_checkpoint(world, managed_path, config_digest)
-            else:
-                write_progress(managed_path, sim_now_ns=engine.now,
-                               events_executed=engine.events_executed,
-                               sim_time_ns=end)
-            if preempt:
-                raise RunPreempted(managed_path, engine.now)
+            if managed:
+                preempt = preemption_requested() and engine.now < end
+                if engine.now < end or preempt:
+                    _write_world_checkpoint(world, managed_path,
+                                            config_digest)
+                else:
+                    write_progress(managed_path, sim_now_ns=engine.now,
+                                   events_executed=engine.events_executed,
+                                   sim_time_ns=end)
+                if preempt:
+                    raise RunPreempted(managed_path, engine.now)
+            if engine.now >= end:
+                return
 
 
 def _finalize(world: LiveRun, profiler: PhaseProfiler,

@@ -1,8 +1,8 @@
 """Zero-cost-off trace hook registry.
 
 The dataplane's hot paths carry trace hook points that must cost nothing
-while tracing is off (the overwhelmingly common case — see the
-``BENCH_perf.json`` regression gate).  The mechanism is the same one the
+while tracing is off (the overwhelmingly common case, and the one
+simbench times).  The mechanism is the same one the
 runtime sanitizer uses (:mod:`repro.analysis.sanitize`): instrumented
 modules register at import time and cache the *active tracer* in a
 module global::

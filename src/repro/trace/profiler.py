@@ -3,8 +3,9 @@
 The experiment runner wraps its phases — network construction, the
 event loop, result finalization — in :meth:`PhaseProfiler.phase` scopes,
 so every :class:`~repro.experiments.runner.RunResult` carries a
-``profile`` dict attributing the run's wall time to phases, and the
-``repro.perf`` harness reports the breakdown in ``BENCH_perf.json``.
+``profile`` dict attributing the run's wall time to phases; simbench
+(``simbench/runone.py``) reads it for its ``setup_s`` and per-phase
+metrics.
 
 Wall-clock readings are nondeterministic by nature, so the profile is
 deliberately **excluded** from the deterministic trace exports and from

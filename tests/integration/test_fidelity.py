@@ -39,7 +39,7 @@ def _config(mode, sim_ms=5, seed=1, faults=(), **fidelity_kwargs):
 
 
 def _reference_config(mode):
-    """The perf harness's reference instance (50% bg + 25% incast)."""
+    """The 40 sim-ms reference experiment (50% bg + 25% incast)."""
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.5,
         incast_load=0.25, incast_scale=12, sim_time_ns=40 * MILLISECOND,

@@ -120,6 +120,16 @@ def test_sweep_rejects_unknown_system(capsys):
     assert main(["sweep", "--systems", "warp", *TINY]) == 2
 
 
+def test_retired_perf_subcommand_is_usage_error(capsys):
+    """`perf` is no subcommand: its argv reads as stray `run` arguments."""
+    with pytest.raises(SystemExit) as exc:
+        main(["perf", "--quick"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro: error: unrecognized arguments: perf --quick" in err
+    assert "running" not in err  # parsing failed before any run started
+
+
 def test_malformed_fault_is_one_line_usage_error(capsys):
     """A bad --fault directive exits 2 with one stderr line, no traceback."""
     for argv in (["run", *TINY, "--fault", "link:bogus"],
